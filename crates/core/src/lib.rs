@@ -7,7 +7,9 @@
 //! full accelerator of the paper's Fig. 2 and evaluates it the way §4.1
 //! describes: a spike-by-spike simulation whose access counters, combined
 //! with the circuit-level timing/energy models, yield system throughput,
-//! energy per inference, power and area (Fig. 8, Table 3).
+//! energy per inference, power and area (Fig. 8, Table 3). Every inference
+//! path walks the tiles through one [`cascade`] walker, which a mesh core
+//! runs over its own shard of the tiles.
 //!
 //! Heavy batch workloads go through the [`batch::BatchEngine`], which
 //! shards frames across worker clones of the tile cascade and merges their
@@ -61,6 +63,7 @@
 pub mod adder_tree;
 pub mod baselines;
 pub mod batch;
+pub mod cascade;
 pub mod config;
 pub mod error;
 pub mod learning;

@@ -12,15 +12,15 @@ use esam_bits::{BitVec, FrameBlock};
 use esam_fault::{FaultPlan, FaultTally};
 use esam_nn::bnn::argmax;
 use esam_nn::{derive_teacher_signals, SnnModel};
-use esam_obs::TraceScope;
+use esam_obs::{TraceScope, TrackTrace};
 use esam_sram::{IntegrityMode, IntegrityTally};
 use esam_tech::units::{AreaUm2, Joules, Watts};
 
-use crate::batch::BatchEngine;
-use crate::config::{BatchConfig, SystemConfig};
+use crate::cascade;
+use crate::config::SystemConfig;
 use crate::error::CoreError;
 use crate::learning::{LearningCost, OnlineLearningEngine, SampleOutcome};
-use crate::metrics::{BatchTally, LearningSummary, SystemMetrics};
+use crate::metrics::{self, BatchTally, SystemMetrics};
 use crate::pipeline::PipelineTiming;
 use crate::tile::Tile;
 
@@ -59,6 +59,29 @@ pub struct TracedInference {
 }
 
 impl InferenceResult {
+    /// The one readout constructor: logits are the output membranes plus
+    /// the converted biases (exactly the BNN logits, see
+    /// `esam_nn::convert`) and the prediction is their argmax.
+    pub fn from_readout(
+        membranes: Vec<i32>,
+        output_bias: &[f32],
+        output_spikes: BitVec,
+        per_tile_cycles: Vec<u64>,
+    ) -> Self {
+        let logits: Vec<f32> = membranes
+            .iter()
+            .zip(output_bias)
+            .map(|(&m, &b)| m as f32 + b)
+            .collect();
+        Self {
+            prediction: argmax(&logits),
+            logits,
+            membranes,
+            output_spikes,
+            per_tile_cycles,
+        }
+    }
+
     /// Cycles of the slowest tile — the pipelined throughput limiter.
     pub fn bottleneck_cycles(&self) -> u64 {
         self.per_tile_cycles.iter().copied().max().unwrap_or(0)
@@ -230,9 +253,7 @@ impl EsamSystem {
     ) -> Result<InferenceResult, CoreError> {
         let result = self.infer(input)?;
         if let TraceScope::On(track) = scope {
-            for (layer, &cycles) in result.per_tile_cycles.iter().enumerate() {
-                track.span("layer", cycles, [Some(("layer", layer as u64)), None]);
-            }
+            record_layer_spans(track, &result);
         }
         Ok(result)
     }
@@ -257,67 +278,33 @@ impl EsamSystem {
         })
     }
 
-    /// The shared cascade walk behind [`infer`](Self::infer) and
-    /// [`infer_traced`](Self::infer_traced): `trace`, when present,
+    /// The one-shard [`cascade::walk_frame`] behind [`infer`](Self::infer)
+    /// and [`infer_traced`](Self::infer_traced): `trace`, when present,
     /// receives a clone of every tile's input frame.
     fn infer_core(
         &mut self,
         input: &BitVec,
-        mut trace: Option<&mut Vec<BitVec>>,
+        trace: Option<&mut Vec<BitVec>>,
     ) -> Result<InferenceResult, CoreError> {
-        let expected = self.config.topology()[0];
+        self.check_width(input)?;
+        let walk = cascade::walk_frame(&mut self.tiles, input, true, trace)?;
+        Ok(InferenceResult::from_readout(
+            walk.membranes,
+            &self.output_bias,
+            walk.fired,
+            walk.tile_cycles,
+        ))
+    }
+
+    fn check_width(&self, input: &BitVec) -> Result<(), CoreError> {
+        let expected = self.input_width();
         if input.len() != expected {
             return Err(CoreError::InputWidthMismatch {
                 expected,
                 got: input.len(),
             });
         }
-        if let Some(trace) = trace.as_deref_mut() {
-            trace.clear();
-            trace.push(input.clone());
-        }
-        let tile_count = self.tiles.len();
-        let mut per_tile_cycles = Vec::with_capacity(tile_count);
-        let mut membranes = Vec::new();
-        let mut output_spikes = BitVec::new(0);
-        // The working frame: `None` until the first tile fires (the input
-        // is borrowed, never cloned, on the untraced path).
-        let mut frame: Option<BitVec> = None;
-        for (index, tile) in self.tiles.iter_mut().enumerate() {
-            let is_output = index + 1 == tile_count;
-            tile.inject(frame.as_ref().unwrap_or(input))?;
-            let mut cycles = 0u64;
-            while !tile.is_drained() {
-                tile.step()?;
-                cycles += 1;
-            }
-            if is_output {
-                membranes = tile.membranes().to_vec();
-            }
-            let fired = tile.finish_timestep();
-            cycles += 1;
-            per_tile_cycles.push(cycles);
-            if is_output {
-                output_spikes = fired;
-            } else {
-                if let Some(trace) = trace.as_deref_mut() {
-                    trace.push(fired.clone());
-                }
-                frame = Some(fired);
-            }
-        }
-        let logits: Vec<f32> = membranes
-            .iter()
-            .zip(&self.output_bias)
-            .map(|(&m, &b)| m as f32 + b)
-            .collect();
-        Ok(InferenceResult {
-            prediction: argmax(&logits),
-            logits,
-            membranes,
-            output_spikes,
-            per_tile_cycles,
-        })
+        Ok(())
     }
 
     /// Installs a fault plan on this system.
@@ -328,7 +315,7 @@ impl EsamSystem {
     /// Installing a new plan (including [`FaultPlan::none`]) first reverts
     /// the previous plan's materialization, restoring the original weights
     /// exactly (flips are involutive). Transient faults (weight/membrane
-    /// flips) take effect in [`infer_faulted`](Self::infer_faulted);
+    /// flips) take effect in [`infer_checked`](Self::infer_checked);
     /// serve-/mesh-domain rates are carried but injected by those layers.
     ///
     /// Install the plan **before** cloning worker systems so every clone
@@ -391,8 +378,8 @@ impl EsamSystem {
     /// Toggles every weight bit the plan flips for `frame_id` and returns
     /// the flip count. Involutive: calling it a second time with the same
     /// `frame_id` restores the weights exactly — which is how
-    /// [`infer_faulted`](Self::infer_faulted) reverts a frame's transient
-    /// faults.
+    /// [`infer_checked`](Self::infer_checked) without integrity checking
+    /// reverts a frame's transient faults.
     fn toggle_frame_flips(&mut self, frame_id: u64) -> Result<u64, CoreError> {
         let mut flips = 0u64;
         for layer in 0..self.tiles.len() {
@@ -412,70 +399,36 @@ impl EsamSystem {
         Ok(flips)
     }
 
-    /// Runs one inference under the installed fault plan's *transient*
-    /// SRAM faults: the plan's weight-bit flips for `frame_id` are toggled
-    /// in, the frame runs through the ordinary word-parallel walk, the
-    /// flips are toggled back out (exact restore), and membrane-word
-    /// upsets are applied to the output neurons (low-bit flip, logits and
-    /// prediction recomputed; `output_spikes` keeps the pre-upset firing —
-    /// the upset models a readout-register strike after the compare).
-    ///
-    /// `frame_id` is the fault coordinate: callers use a stable global
-    /// index (batch position, request id) so fault sites are independent
-    /// of chunking, thread count or arrival order. With no transient
-    /// faults active this is exactly [`infer`](Self::infer) — no toggling,
-    /// no recompute, zero cost.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InputWidthMismatch`] for a wrong input width.
-    pub fn infer_faulted(
-        &mut self,
-        input: &BitVec,
-        frame_id: u64,
-    ) -> Result<InferenceResult, CoreError> {
-        if !self.faults.transient_active() {
-            return self.infer(input);
-        }
-        let flips = self.toggle_frame_flips(frame_id)?;
-        let outcome = self.infer(input);
-        // Revert before error propagation so a failed inference cannot
-        // leave flipped weights behind.
-        self.toggle_frame_flips(frame_id)?;
-        let result = outcome?;
-        self.fault_tally.weight_flips += flips;
-        self.apply_membrane_upsets(result, frame_id)
-    }
-
     /// Applies the plan's membrane-word upsets for `frame_id` to a
-    /// finished result (shared by the oracle-restore and self-checking
-    /// inference paths): low-bit flips on the readout registers, logits and
-    /// prediction recomputed when anything struck.
+    /// finished result: low-bit flips on the readout registers, logits and
+    /// prediction recomputed when anything struck (`output_spikes` keeps
+    /// the pre-upset firing — the upset models a readout-register strike
+    /// after the compare).
     fn apply_membrane_upsets(
         &mut self,
         mut result: InferenceResult,
         frame_id: u64,
-    ) -> Result<InferenceResult, CoreError> {
-        if self.faults.config().membrane_flip_rate() > 0.0 {
-            let mut upset = false;
-            for (neuron, membrane) in result.membranes.iter_mut().enumerate() {
-                if self.faults.membrane_flip(frame_id, neuron as u64) {
-                    *membrane ^= 1;
-                    self.fault_tally.membrane_flips += 1;
-                    upset = true;
-                }
-            }
-            if upset {
-                result.logits = result
-                    .membranes
-                    .iter()
-                    .zip(&self.output_bias)
-                    .map(|(&m, &b)| m as f32 + b)
-                    .collect();
-                result.prediction = argmax(&result.logits);
+    ) -> InferenceResult {
+        if self.faults.config().membrane_flip_rate() == 0.0 {
+            return result;
+        }
+        let mut upset = false;
+        for (neuron, membrane) in result.membranes.iter_mut().enumerate() {
+            if self.faults.membrane_flip(frame_id, neuron as u64) {
+                *membrane ^= 1;
+                self.fault_tally.membrane_flips += 1;
+                upset = true;
             }
         }
-        Ok(result)
+        if !upset {
+            return result;
+        }
+        InferenceResult::from_readout(
+            result.membranes,
+            &self.output_bias,
+            result.output_spikes,
+            result.per_tile_cycles,
+        )
     }
 
     /// The integrity mode in effect on this system's weight reads.
@@ -513,28 +466,33 @@ impl EsamSystem {
     }
 
     /// Runs one inference under the installed fault plan's transient SRAM
-    /// faults **without the oracle restore**: the plan's weight-bit flips
-    /// for `frame_id` are toggled in and then *left in the array* — the
-    /// system must detect and recover on its own.
+    /// faults: the plan's weight-bit flips for `frame_id` are toggled into
+    /// the arrays, the frame runs through the ordinary word-parallel walk,
+    /// and the store is restored according to the integrity mode:
     ///
-    /// Recovery is the integrity ladder:
-    ///
-    /// * [`Correct`] — every weight read carries a SECDED syndrome check
-    ///   that repairs single-bit rows in the delivered data, and the
-    ///   post-frame scrub pass heals the store (golden reload for
-    ///   uncorrectable rows, silent-corruption audit);
+    /// * [`Off`] — no self-checking exists, so the flips are toggled back
+    ///   out (the exact oracle restore: the unprotected baseline the
+    ///   integrity experiment compares against);
+    /// * [`Correct`] — the flips stay in: every weight read carries a
+    ///   SECDED syndrome check that repairs single-bit rows in the
+    ///   delivered data, and the post-frame scrub pass heals the store
+    ///   (golden reload for uncorrectable rows, silent-corruption audit);
     /// * [`Detect`] — reads are checked and counted but delivered raw; the
-    ///   post-frame pass restores drifted rows so frames stay independent;
-    /// * [`Off`] — no self-checking exists, so this falls back to
-    ///   [`infer_faulted`](Self::infer_faulted)'s oracle toggle-out (the
-    ///   unprotected baseline the integrity experiment compares against).
+    ///   post-frame pass restores drifted rows so frames stay independent.
     ///
-    /// Membrane-word upsets are applied to the result exactly as in
-    /// [`infer_faulted`](Self::infer_faulted) — they strike the readout
-    /// register downstream of the protected SRAM. Because the scrub runs
-    /// after every frame, frames are independent and the
+    /// Membrane-word upsets then strike the output neurons' readout
+    /// registers, downstream of the protected SRAM (low-bit flip, logits
+    /// and prediction recomputed; `output_spikes` keeps the pre-upset
+    /// firing).
+    ///
+    /// `frame_id` is the fault coordinate: callers use a stable global
+    /// index (batch position, request id) so fault sites are independent
+    /// of chunking, thread count or arrival order. Because every frame
+    /// ends with the store restored, frames are independent and the
     /// [`IntegrityTally`] is a deterministic function of (seed, frame ids)
-    /// — identical at any thread or core count.
+    /// — identical at any thread or core count. With no transient faults
+    /// active this is exactly [`infer`](Self::infer): no toggling, no
+    /// recompute, zero cost.
     ///
     /// [`Correct`]: IntegrityMode::Correct
     /// [`Detect`]: IntegrityMode::Detect
@@ -548,26 +506,24 @@ impl EsamSystem {
         input: &BitVec,
         frame_id: u64,
     ) -> Result<InferenceResult, CoreError> {
-        if !self.integrity.checks() {
-            return self.infer_faulted(input, frame_id);
-        }
         if !self.faults.transient_active() {
-            // Nothing strikes the weights; reads are still syndrome-checked
-            // (counting clean reads) and membrane upsets still apply.
-            let result = self.infer(input)?;
-            return self.apply_membrane_upsets(result, frame_id);
+            return self.infer(input);
         }
-        let flips = self.toggle_frame_flips(frame_id)?;
-        self.fault_tally.weight_flips += flips;
+        self.check_width(input)?;
+        self.fault_tally.weight_flips += self.toggle_frame_flips(frame_id)?;
         let outcome = self.infer(input);
-        // No oracle toggle-out: the scrub pass (ECC heal + golden reload +
-        // audit) is the only thing restoring the store — also on the error
-        // path, so a failed inference cannot leave corruption behind.
-        for tile in &mut self.tiles {
-            tile.scrub_audited()?;
+        // Restore before error propagation, so a failed inference cannot
+        // leave corruption behind.
+        if self.integrity.checks() {
+            // No oracle: the scrub pass (ECC heal + golden reload + audit)
+            // is the only thing restoring the store.
+            for tile in &mut self.tiles {
+                tile.scrub_audited()?;
+            }
+        } else {
+            self.toggle_frame_flips(frame_id)?;
         }
-        let result = outcome?;
-        self.apply_membrane_upsets(result, frame_id)
+        Ok(self.apply_membrane_upsets(outcome?, frame_id))
     }
 
     /// Temporal (rate-coded) inference over a sequence of input frames —
@@ -681,11 +637,7 @@ impl EsamSystem {
     ///
     /// Propagates SRAM energy-model errors.
     pub fn accumulated_energy(&self) -> Result<Joules, CoreError> {
-        let mut total = Joules::ZERO;
-        for tile in &self.tiles {
-            total += tile.dynamic_energy()?;
-        }
-        Ok(total)
+        metrics::dynamic_energy(self.tiles.iter())
     }
 
     /// Dynamic energy of *learning* traffic only, since the last stats
@@ -698,13 +650,7 @@ impl EsamSystem {
     ///
     /// Propagates SRAM energy-model errors.
     pub fn learning_energy(&self) -> Result<Joules, CoreError> {
-        let mut total = Joules::ZERO;
-        for tile in &self.tiles {
-            for array in tile.arrays() {
-                total += array.energy_for_stats(array.stats())?;
-            }
-        }
-        Ok(total)
+        metrics::learning_energy(self.tiles.iter())
     }
 
     /// Static leakage power of the whole system.
@@ -723,9 +669,9 @@ impl EsamSystem {
     /// power as `E/inf × throughput + leakage`.
     ///
     /// This is the sequential reference path; it shares its accumulation
-    /// (`run_frames`) and finalization (`finalize_metrics`) with the
-    /// parallel engine, which is why
-    /// [`measure_batch_parallel`](Self::measure_batch_parallel) is
+    /// (`run_frames`) and finalization ([`SystemMetrics::finalize`]) with
+    /// the parallel [`BatchEngine`](crate::BatchEngine), which is why
+    /// [`BatchEngine::measure`](crate::BatchEngine::measure) is
     /// bit-identical to it at any thread count.
     ///
     /// # Errors
@@ -741,46 +687,6 @@ impl EsamSystem {
         self.reset_stats();
         let tally = self.run_frames(frames)?;
         self.finalize_metrics(&tally)
-    }
-
-    /// Runs a batch sharded over [`BatchConfig::threads`] worker pipelines
-    /// and merges the shards into one [`SystemMetrics`].
-    ///
-    /// The result is **bit-identical** to [`measure_batch`](Self::measure_batch)
-    /// on the same frames for every thread count and chunk size: workers
-    /// only accumulate `u64` counters, which merge exactly, and the final
-    /// float arithmetic runs once over the merged counters (see
-    /// [`crate::metrics`] for the full argument). After the call, this
-    /// system's activity counters hold the whole batch — the same
-    /// post-state the sequential path leaves behind.
-    ///
-    /// One-off convenience wrapper around [`BatchEngine`]; build the engine
-    /// directly to amortize worker setup over many batches.
-    ///
-    /// # Errors
-    ///
-    /// Propagates inference errors; returns
-    /// [`CoreError::InvalidConfig`] for an empty batch.
-    pub fn measure_batch_parallel(
-        &mut self,
-        frames: &[BitVec],
-        config: &BatchConfig,
-    ) -> Result<SystemMetrics, CoreError> {
-        if config.threads() <= 1 || !crate::batch::frames_are_independent(self) {
-            // Sharding requires per-frame independence (the default
-            // EveryTimestep reset); a state-carrying reset policy walks the
-            // batch sequentially, where frame order is well-defined.
-            return self.measure_batch(frames);
-        }
-        let mut engine = BatchEngine::new(self, config);
-        let metrics = engine.measure(frames)?;
-        // Leave this system's counters holding the whole batch, exactly as
-        // the sequential path would.
-        self.reset_stats();
-        for worker in engine.workers() {
-            self.absorb_stats(worker);
-        }
-        Ok(metrics)
     }
 
     /// Accumulation core shared by the sequential and parallel paths: runs
@@ -800,41 +706,12 @@ impl EsamSystem {
     }
 
     /// Whether the batch-major bit-sliced block path reproduces the
-    /// sequential walk bit for bit from this system's *current* state.
-    ///
-    /// The block path needs per-frame independence (the `EveryTimestep`
-    /// reset), a fully clean pipeline (drained tiles, zero membranes, no
-    /// pending neuron requests — all guaranteed again after every frame
-    /// under that reset), and membrane registers wide enough that the
-    /// per-cycle clamp can never engage mid-frame (`inputs ≤ min(mem_max,
-    /// −mem_min)`; the running sum's magnitude is bounded by the spikes
-    /// processed so far, so it then never leaves the register range and the
-    /// closed-form `2·ones − spikes` is exact).
+    /// sequential walk bit for bit from this system's *current* state: the
+    /// per-tile [`cascade::block_eligible`] guard, plus no transient faults
+    /// (they strike per frame, and the block path has no per-frame hook;
+    /// stuck-at faults live in the weights themselves and keep it).
     pub(crate) fn block_path_eligible(&self) -> bool {
-        if self.config.neuron().reset_policy() != esam_neuron::ResetPolicy::EveryTimestep {
-            return false;
-        }
-        // Transient faults are per-frame, and the block path has no
-        // per-frame hook — frames with active weight/membrane flips take
-        // the sequential walk. Stuck-at faults live in the weights
-        // themselves, so they keep the block path (and its exactness).
-        if self.faults.transient_active() {
-            return false;
-        }
-        // The block path reads raw packed words with no per-read hook, so
-        // it cannot carry the SECDED syndrome check: self-checking systems
-        // take the sequential walk.
-        if self.integrity.checks() {
-            return false;
-        }
-        self.tiles.iter().all(|tile| {
-            let neuron_config = tile.neurons().config();
-            let clamp_guard = neuron_config.mem_max().min(-neuron_config.mem_min());
-            tile.inputs() as i64 <= clamp_guard as i64
-                && tile.is_drained()
-                && !tile.neurons().spike_requests().any()
-                && tile.membranes().iter().all(|&m| m == 0)
-        })
+        !self.faults.transient_active() && cascade::block_eligible(&self.tiles)
     }
 
     /// Runs a batch of frames through the batch-major bit-sliced path:
@@ -857,36 +734,24 @@ impl EsamSystem {
     /// Returns [`CoreError::InputWidthMismatch`] when any frame has the
     /// wrong width.
     pub fn infer_block(&mut self, frames: &[BitVec]) -> Result<Vec<InferenceResult>, CoreError> {
-        let expected = self.config.topology()[0];
-        for frame in frames {
-            if frame.len() != expected {
-                return Err(CoreError::InputWidthMismatch {
-                    expected,
-                    got: frame.len(),
-                });
-            }
-        }
-        if !self.block_path_eligible() {
-            return frames.iter().map(|frame| self.infer(frame)).collect();
-        }
-        let mut results = Vec::with_capacity(frames.len());
-        for chunk in frames.chunks(FrameBlock::LANES) {
-            self.infer_block_chunk(chunk, &mut results)?;
-        }
-        Ok(results)
+        Ok(self.walk_frames(frames)?.0)
     }
 
     /// [`infer_block`](Self::infer_block) with per-layer cycle
-    /// attribution for each executed block.
+    /// attribution.
     ///
     /// Under batch-major execution all lanes of a block advance in
     /// lockstep through the bit-sliced tile, so a layer's occupancy for
     /// the block is the **maximum** over its lanes' per-layer cycle
     /// counts; blocks execute back to back, so each block contributes one
     /// `layer-block` span per layer (lane count attached) and the cursor
-    /// advances by the block's summed per-layer maxima. Results are
-    /// bit-identical to [`infer_block`](Self::infer_block) — the
-    /// execution path is shared and attribution is post-hoc.
+    /// advances by the block's summed per-layer maxima. When the block
+    /// path is ruled out (see `block_path_eligible`), the frames ran one
+    /// by one, and each gets the same `layer` spans as
+    /// [`infer_scoped`](Self::infer_scoped) — the cursor always advances
+    /// by the work that actually ran. Results are bit-identical to
+    /// [`infer_block`](Self::infer_block): the execution path is shared
+    /// and attribution is post-hoc.
     ///
     /// # Errors
     ///
@@ -897,77 +762,66 @@ impl EsamSystem {
         frames: &[BitVec],
         scope: &mut TraceScope<'_>,
     ) -> Result<Vec<InferenceResult>, CoreError> {
-        let results = self.infer_block(frames)?;
-        if let TraceScope::On(track) = scope {
-            let layers = self.tiles.len();
-            for block in results.chunks(FrameBlock::LANES) {
-                for layer in 0..layers {
-                    let cycles = block
-                        .iter()
-                        .map(|r| r.per_tile_cycles[layer])
-                        .max()
-                        .unwrap_or(0);
-                    track.span(
-                        "layer-block",
-                        cycles,
-                        [
-                            Some(("layer", layer as u64)),
-                            Some(("lanes", block.len() as u64)),
-                        ],
-                    );
-                }
+        let (results, blocked) = self.walk_frames(frames)?;
+        let TraceScope::On(track) = scope else {
+            return Ok(results);
+        };
+        if !blocked {
+            for result in &results {
+                record_layer_spans(track, result);
+            }
+            return Ok(results);
+        }
+        for block in results.chunks(FrameBlock::LANES) {
+            for layer in 0..self.tiles.len() {
+                let cycles = block
+                    .iter()
+                    .map(|r| r.per_tile_cycles[layer])
+                    .max()
+                    .unwrap_or(0);
+                track.span(
+                    "layer-block",
+                    cycles,
+                    [
+                        Some(("layer", layer as u64)),
+                        Some(("lanes", block.len() as u64)),
+                    ],
+                );
             }
         }
         Ok(results)
     }
 
-    /// Advances one ≤64-lane chunk through the cascade. The fired lane
-    /// words of each tile *are* the next tile's [`FrameBlock`] words, so
-    /// cascading costs no re-transpose; only the output tile materializes
-    /// per-lane membranes and frames for the results.
-    fn infer_block_chunk(
+    /// The shared body of [`infer_block`](Self::infer_block) and
+    /// [`infer_block_scoped`](Self::infer_block_scoped): the results, and
+    /// whether the block path ran (otherwise the frames took the
+    /// sequential walk one by one).
+    fn walk_frames(
         &mut self,
         frames: &[BitVec],
-        results: &mut Vec<InferenceResult>,
-    ) -> Result<(), CoreError> {
-        let lanes = frames.len();
-        let tile_count = self.tiles.len();
-        let classes = self.output_bias.len();
-        let mut block = FrameBlock::from_frames(frames);
-        let mut cycles = vec![0u64; lanes];
-        let mut per_lane_cycles: Vec<Vec<u64>> =
-            (0..lanes).map(|_| Vec::with_capacity(tile_count)).collect();
-        let mut membranes = vec![0i32; lanes * classes];
-        for (index, tile) in self.tiles.iter_mut().enumerate() {
-            let is_output = index + 1 == tile_count;
-            let mut fired = FrameBlock::new(tile.outputs(), lanes);
-            tile.step_block(
-                &block,
-                &mut fired,
-                &mut cycles,
-                is_output.then_some(membranes.as_mut_slice()),
-            )?;
-            for (lane_cycles, &tile_cycles) in per_lane_cycles.iter_mut().zip(cycles.iter()) {
-                lane_cycles.push(tile_cycles);
+    ) -> Result<(Vec<InferenceResult>, bool), CoreError> {
+        for frame in frames {
+            self.check_width(frame)?;
+        }
+        if !self.block_path_eligible() {
+            let results = frames.iter().map(|frame| self.infer(frame));
+            return Ok((results.collect::<Result<_, _>>()?, false));
+        }
+        let classes = self.output_classes();
+        let mut results = Vec::with_capacity(frames.len());
+        for chunk in frames.chunks(FrameBlock::LANES) {
+            let block = FrameBlock::from_frames(chunk);
+            let walk = cascade::walk_block(&mut self.tiles, &block, true)?;
+            for lane in 0..chunk.len() {
+                results.push(InferenceResult::from_readout(
+                    walk.membranes[lane * classes..(lane + 1) * classes].to_vec(),
+                    &self.output_bias,
+                    walk.fired.lane_frame(lane),
+                    walk.tile_cycles.iter().map(|cycles| cycles[lane]).collect(),
+                ));
             }
-            block = fired;
         }
-        for (lane, per_tile_cycles) in per_lane_cycles.into_iter().enumerate() {
-            let membranes = membranes[lane * classes..(lane + 1) * classes].to_vec();
-            let logits: Vec<f32> = membranes
-                .iter()
-                .zip(&self.output_bias)
-                .map(|(&m, &b)| m as f32 + b)
-                .collect();
-            results.push(InferenceResult {
-                prediction: argmax(&logits),
-                logits,
-                membranes,
-                output_spikes: block.lane_frame(lane),
-                per_tile_cycles,
-            });
-        }
-        Ok(())
+        Ok((results, true))
     }
 
     /// [`measure_batch`](Self::measure_batch) on the batch-major bit-sliced
@@ -990,28 +844,11 @@ impl EsamSystem {
             ));
         }
         self.reset_stats();
-        let tally = self.run_frames_bitsliced(frames)?;
-        self.finalize_metrics(&tally)
-    }
-
-    /// Accumulation core of the bit-sliced path: one [`FrameBlock`] at a
-    /// time through [`infer_block`](Self::infer_block), tallying exactly
-    /// like [`run_frames`](Self::run_frames).
-    ///
-    /// # Errors
-    ///
-    /// Propagates per-block inference errors.
-    pub(crate) fn run_frames_bitsliced(
-        &mut self,
-        frames: &[BitVec],
-    ) -> Result<BatchTally, CoreError> {
         let mut tally = BatchTally::default();
-        for chunk in frames.chunks(FrameBlock::LANES) {
-            for result in self.infer_block(chunk)? {
-                tally.record(&result);
-            }
+        for result in self.infer_block(frames)? {
+            tally.record(&result);
         }
-        Ok(tally)
+        self.finalize_metrics(&tally)
     }
 
     /// Finalization core shared by the sequential and parallel paths (and
@@ -1026,48 +863,7 @@ impl EsamSystem {
     /// Propagates SRAM energy-model errors; returns
     /// [`CoreError::InvalidConfig`] for an empty tally.
     pub fn finalize_metrics(&self, tally: &BatchTally) -> Result<SystemMetrics, CoreError> {
-        if tally.frames == 0 {
-            return Err(CoreError::InvalidConfig(
-                "metrics need at least one frame".into(),
-            ));
-        }
-        let n = tally.frames as f64;
-        let bottleneck_cycles = tally.bottleneck_cycles as f64 / n;
-        let throughput = self.pipeline.throughput_for_cycles(bottleneck_cycles);
-        let energy_per_inf = self.accumulated_energy()? / n;
-        // A learning batch is recognizable even when it applied zero
-        // updates: only `record_outcome` advances `correct`, and a wrong
-        // prediction always derives at least one teacher signal, so a
-        // labelled batch has `learning_updates > 0 || correct > 0` while a
-        // pure-inference batch has both at zero.
-        let learning = if tally.learning_updates == 0 && tally.correct == 0 {
-            None
-        } else {
-            Some(LearningSummary {
-                samples: tally.frames,
-                updates: tally.learning_updates,
-                online_accuracy: tally.correct as f64 / n,
-                cost: LearningCost {
-                    cycles: tally.learning_cycles,
-                    latency: self.pipeline.clock_period() * tally.learning_cycles as f64,
-                    energy: self.learning_energy()?,
-                    bits_flipped: tally.learning_bits_flipped as usize,
-                },
-            })
-        };
-        Ok(SystemMetrics {
-            clock: self.pipeline.clock_frequency(),
-            bottleneck_cycles,
-            throughput_inf_s: throughput,
-            latency: self
-                .pipeline
-                .seconds_for_cycles(tally.latency_cycles as f64 / n),
-            energy_per_inf,
-            dynamic_power: Watts::new(energy_per_inf.value() * throughput),
-            leakage_power: self.leakage_power(),
-            area: self.area(),
-            learning,
-        })
+        SystemMetrics::finalize(&self.pipeline, tally, self.tiles.iter())
     }
 
     /// Merges another system's activity counters into this one
@@ -1083,6 +879,15 @@ impl EsamSystem {
             mine.absorb_stats(theirs);
         }
         self.fault_tally.merge(&other.fault_tally);
+    }
+}
+
+/// Attributes one inference's modeled cycles to per-layer `layer` spans
+/// on `track`: they tile the frame's cycle interval exactly, advancing the
+/// cursor by its full latency.
+fn record_layer_spans(track: &mut TrackTrace, result: &InferenceResult) {
+    for (layer, &cycles) in result.per_tile_cycles.iter().enumerate() {
+        track.span("layer", cycles, [Some(("layer", layer as u64)), None]);
     }
 }
 

@@ -857,11 +857,26 @@ impl Tile {
     ///
     /// Propagates injection/step errors.
     pub fn process_frame(&mut self, frame: &BitVec) -> Result<(BitVec, u64), CoreError> {
+        self.process_frame_readout(frame, None)
+    }
+
+    /// [`process_frame`](Self::process_frame) that also copies the
+    /// pre-reset membrane potentials into `readout` when given — the
+    /// output tile's readout, taken between the drain and the fire.
+    pub(crate) fn process_frame_readout(
+        &mut self,
+        frame: &BitVec,
+        readout: Option<&mut Vec<i32>>,
+    ) -> Result<(BitVec, u64), CoreError> {
         self.inject(frame)?;
         let mut cycles = 0u64;
         while !self.is_drained() {
             self.step()?;
             cycles += 1;
+        }
+        if let Some(readout) = readout {
+            readout.clear();
+            readout.extend_from_slice(self.membranes());
         }
         let fired = self.finish_timestep();
         cycles += 1;
@@ -891,9 +906,9 @@ impl Tile {
     /// clamp mid-frame. Callers must uphold the preconditions
     /// (drained tile, zero membranes, no pending neuron requests,
     /// every-timestep reset, `inputs ≤ min(mem_max, −mem_min)`) —
-    /// [`EsamSystem::infer_block`](crate::EsamSystem::infer_block) checks
-    /// them and falls back to the sequential walk otherwise. Equivalence is
-    /// property-tested in `tests/bitslice_equivalence.rs`.
+    /// [`cascade::block_eligible`](crate::cascade::block_eligible) checks
+    /// them, and every caller falls back to the sequential walk otherwise.
+    /// Equivalence is property-tested in `tests/bitslice_equivalence.rs`.
     ///
     /// # Errors
     ///

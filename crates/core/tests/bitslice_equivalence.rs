@@ -134,21 +134,21 @@ fn narrow_membrane_registers_fall_back_to_the_sequential_walk() {
 }
 
 #[test]
-fn bitsliced_measurement_is_bit_identical_at_every_thread_count() {
+fn bitsliced_measurement_matches_the_sequential_walk_and_the_engine() {
     let template = system(&[128, 64, 10], 11, BitcellKind::multiport(4).unwrap());
     let batch = frames(128, 150, 29, 0.25);
     let expected = template.clone().measure_batch(&batch).unwrap();
     assert_eq!(
         template.clone().measure_batch_bitsliced(&batch).unwrap(),
         expected,
-        "single-threaded bit-sliced measurement"
+        "bit-sliced measurement"
     );
     for threads in [1, 2, 4, 7] {
         let mut engine = BatchEngine::new(&template, &BatchConfig::with_threads(threads));
         assert_eq!(
-            engine.measure_bitsliced(&batch).unwrap(),
+            engine.measure(&batch).unwrap(),
             expected,
-            "bit-sliced measurement with {threads} threads"
+            "engine measurement with {threads} threads"
         );
     }
 }

@@ -17,7 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use esam_bits::BitVec;
-use esam_core::{EsamSystem, SystemConfig, TraceScope, TrackTrace};
+use esam_core::{EsamSystem, IntegrityMode, SystemConfig, TraceScope, TrackTrace};
 use esam_nn::{BnnNetwork, SnnModel};
 use esam_obs::{EventKind, TimeDomain, Trace};
 use esam_sram::BitcellKind;
@@ -198,6 +198,44 @@ fn block_scoped_matches_infer_block_bit_for_bit() {
             .unwrap(),
         baseline
     );
+}
+
+#[test]
+fn block_scoped_fallback_records_the_per_frame_layer_spans() {
+    // A self-checking system rules the block path out, so the frames run
+    // one by one. The track must then carry exactly the per-frame `layer`
+    // spans `infer_scoped` records, and its cursor must advance by the
+    // frames' full latency — not by a per-block lane maximum.
+    let mut sequential = system(31);
+    sequential.set_integrity_mode(IntegrityMode::Correct);
+    let mut blocked = system(31);
+    blocked.set_integrity_mode(IntegrityMode::Correct);
+    let batch = frames(70);
+
+    let mut expected_track = TrackTrace::new(0, 0, "sequential".to_string(), 1024);
+    let expected: Vec<_> = batch
+        .iter()
+        .map(|frame| {
+            sequential
+                .infer_scoped(frame, &mut TraceScope::On(&mut expected_track))
+                .unwrap()
+        })
+        .collect();
+    let mut track = TrackTrace::new(0, 0, "block".to_string(), 1024);
+    let got = blocked
+        .infer_block_scoped(&batch, &mut TraceScope::On(&mut track))
+        .unwrap();
+    assert_eq!(got, expected);
+
+    let cycle_events = |track: &TrackTrace| {
+        track
+            .events()
+            .map(|e| (e.name, e.kind, e.cycles, e.cycle_dur, e.args))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(cycle_events(&track), cycle_events(&expected_track));
+    let latency: u64 = expected.iter().map(|r| r.total_cycles()).sum();
+    assert_eq!(track.cursor(), latency);
 }
 
 #[test]

@@ -63,13 +63,11 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 use esam_bits::{BitVec, FrameBlock};
+use esam_core::cascade::{block_eligible, walk_block, walk_frame};
 use esam_core::{CoreError, InferenceResult, PipelineTiming, SystemConfig, SystemMetrics, Tile};
 use esam_fault::FaultPlan;
-use esam_neuron::ResetPolicy;
-use esam_nn::bnn::argmax;
 use esam_nn::SnnModel;
 use esam_obs::{Trace, TrackTrace, NO_ARGS};
-use esam_tech::units::{AreaUm2, Joules, Watts};
 
 use crate::config::{Execution, LinkConfig, MeshConfig, PayloadMode};
 use crate::core::MeshCore;
@@ -359,7 +357,8 @@ impl CoreSlot {
             assembled = frame;
             &assembled
         };
-        let out = self.core.process_frame(input)?;
+        let is_output = self.core.is_output();
+        let out = walk_frame(self.core.tiles_mut(), input, is_output, None)?;
         let mut occupancy: u64 = out.tile_cycles.iter().sum();
         if !exempt && faults.core_stall(t, self.core.id() as u64) {
             // A stalled core occupies its pipeline station longer; the
@@ -370,12 +369,12 @@ impl CoreSlot {
         let mut cycles = packets[0].cycles.clone();
         cycles.extend_from_slice(&out.tile_cycles);
         let crc = if faults.corrupt_active() {
-            crc32_words(out.slice.words())
+            crc32_words(out.fired.words())
         } else {
             0
         };
         Ok(Packet::Frame(FramePacket {
-            slice: out.slice,
+            slice: out.fired,
             cycles,
             membranes: out.membranes,
             noc_latency: noc_in,
@@ -424,16 +423,17 @@ impl CoreSlot {
             assembled = block;
             &assembled
         };
-        let out = self.core.process_block(input)?;
+        let is_output = self.core.is_output();
+        let out = walk_block(self.core.tiles_mut(), input, is_output)?;
         let mut pipe_out = pipe_in;
         for (lane, pipe) in pipe_out.iter_mut().enumerate() {
             let occupancy: u64 = out.tile_cycles.iter().map(|tile| tile[lane]).sum();
             *pipe = (*pipe).max(occupancy);
         }
         let mut cycles = packets[0].cycles.clone();
-        cycles.extend(out.tile_cycles.iter().cloned());
+        cycles.extend(out.tile_cycles);
         Ok(Packet::Block(BlockPacket {
-            slice: out.slice,
+            slice: out.fired,
             cycles,
             membranes: out.membranes,
             noc_latency: noc_in,
@@ -500,11 +500,6 @@ fn record_frame_sink(
     for shard in &shards {
         membranes.extend_from_slice(&shard.membranes);
     }
-    let logits: Vec<f32> = membranes
-        .iter()
-        .zip(output_bias)
-        .map(|(&m, &b)| m as f32 + b)
-        .collect();
     let output_spikes = if shards.len() == 1 {
         shards[0].slice.clone()
     } else {
@@ -514,13 +509,8 @@ fn record_frame_sink(
         }
         spikes
     };
-    let result = InferenceResult {
-        prediction: argmax(&logits),
-        logits,
-        membranes,
-        output_spikes,
-        per_tile_cycles,
-    };
+    let result =
+        InferenceResult::from_readout(membranes, output_bias, output_spikes, per_tile_cycles);
     tally.tiles.record(&result);
     tally.mesh_bottleneck_cycles += shards.iter().map(|s| s.pipe_max).max().unwrap_or(0);
     tally.noc_latency_cycles += shards.iter().map(|s| s.noc_latency).max().unwrap_or(0);
@@ -568,18 +558,12 @@ fn record_block_sink(
             let width = shard.slice.width();
             membranes.extend_from_slice(&shard.membranes[lane * width..(lane + 1) * width]);
         }
-        let logits: Vec<f32> = membranes
-            .iter()
-            .zip(output_bias)
-            .map(|(&m, &b)| m as f32 + b)
-            .collect();
-        let result = InferenceResult {
-            prediction: argmax(&logits),
-            logits,
+        let result = InferenceResult::from_readout(
             membranes,
-            output_spikes: full.lane_frame(lane),
+            output_bias,
+            full.lane_frame(lane),
             per_tile_cycles,
-        };
+        );
         tally.tiles.record(&result);
         tally.mesh_bottleneck_cycles += shards.iter().map(|s| s.pipe_max[lane]).max().unwrap_or(0);
         tally.noc_latency_cycles += shards
@@ -846,34 +830,8 @@ impl MeshSystem {
     /// propagates SRAM energy-model errors.
     pub fn finalize_metrics(&self) -> Result<MeshMetrics, CoreError> {
         let tally = &self.tally;
-        if tally.tiles.frames == 0 {
-            return Err(CoreError::InvalidConfig(
-                "metrics need at least one frame".into(),
-            ));
-        }
+        let system = SystemMetrics::finalize(&self.pipeline, &tally.tiles, self.tiles())?;
         let n = tally.tiles.frames as f64;
-        let bottleneck_cycles = tally.tiles.bottleneck_cycles as f64 / n;
-        let throughput = self.pipeline.throughput_for_cycles(bottleneck_cycles);
-        let mut energy = Joules::ZERO;
-        for tile in self.tiles() {
-            energy += tile.dynamic_energy()?;
-        }
-        let energy_per_inf = energy / n;
-        let leakage_power: Watts = self.tiles().map(Tile::leakage_power).sum();
-        let area: AreaUm2 = self.tiles().map(Tile::area).sum();
-        let system = SystemMetrics {
-            clock: self.pipeline.clock_frequency(),
-            bottleneck_cycles,
-            throughput_inf_s: throughput,
-            latency: self
-                .pipeline
-                .seconds_for_cycles(tally.tiles.latency_cycles as f64 / n),
-            energy_per_inf,
-            dynamic_power: Watts::new(energy_per_inf.value() * throughput),
-            leakage_power,
-            area,
-            learning: None,
-        };
         let mesh_bottleneck_cycles = tally.mesh_bottleneck_cycles as f64 / n;
         let mut links: Vec<LinkStats> = self
             .slots
@@ -894,15 +852,16 @@ impl MeshSystem {
         })
     }
 
-    fn tiles(&self) -> impl Iterator<Item = &Tile> {
+    fn tiles(&self) -> impl Iterator<Item = &Tile> + Clone {
         self.slots.iter().flat_map(|slot| slot.core.tiles())
     }
 
     /// Whether the block payload is exact for the current mesh state: the
-    /// mesh-wide mirror of `EsamSystem::block_path_eligible`.
+    /// walker's per-tile guard holds on every core.
     fn block_eligible(&self) -> bool {
-        self.config.neuron().reset_policy() == ResetPolicy::EveryTimestep
-            && self.slots.iter().all(|slot| slot.core.block_eligible())
+        self.slots
+            .iter()
+            .all(|slot| block_eligible(slot.core.tiles()))
     }
 
     /// Runs a batch on the sequential reference path while reconstructing

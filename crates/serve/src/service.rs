@@ -835,10 +835,10 @@ fn worker_loop(
                     // independent of which worker serves it, of batch
                     // composition, and of retries (a replayed request
                     // hits the same weight bits and reproduces the same
-                    // response bit-for-bit). With integrity Off this is
-                    // exactly `infer_faulted` (oracle restore); with
-                    // checking on, the flips stay in and the SECDED
-                    // ladder recovers them.
+                    // response bit-for-bit). With integrity Off the
+                    // flips are toggled back out (oracle restore); with
+                    // checking on, they stay in and the SECDED ladder
+                    // recovers them.
                     working.infer_checked(&request.frame, request.id)
                 }));
                 match run {

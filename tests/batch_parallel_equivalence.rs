@@ -38,9 +38,9 @@ proptest! {
         let mut reference = system(seed, BitcellKind::multiport(4).unwrap());
         let sequential = reference.measure_batch(&batch).expect("sequential measure");
         for threads in [1usize, 2, 4, 7] {
-            let mut parallel = system(seed, BitcellKind::multiport(4).unwrap());
-            let metrics = parallel
-                .measure_batch_parallel(&batch, &BatchConfig::with_threads(threads))
+            let parallel = system(seed, BitcellKind::multiport(4).unwrap());
+            let metrics = BatchEngine::new(&parallel, &BatchConfig::with_threads(threads))
+                .measure(&batch)
                 .expect("parallel measure");
             prop_assert_eq!(metrics, sequential, "{} threads diverged", threads);
         }
